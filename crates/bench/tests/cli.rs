@@ -82,7 +82,6 @@ fn help_exits_0_and_prints_usage_to_stdout() {
         "--quiet",
         "--engine",
         "--stepper",
-        "--shards",
         "--protocol",
         "--locality",
         "--reuse-out",
@@ -137,59 +136,26 @@ fn reuse_out_without_measured_exits_2_with_usage() {
 }
 
 #[test]
-fn malformed_shards_exits_2_with_usage() {
-    assert_usage_exit(&["--shards", "many"], "--shards expects a positive integer");
-    assert_usage_exit(&["--shards", "0"], "--shards expects a positive integer");
+fn removed_shards_flag_exits_2_with_usage() {
+    // The event stepper is single-threaded; scripts still passing the
+    // old sharding flag must fail loudly rather than be silently
+    // accepted.
+    assert_usage_exit(&["--shards", "2"], "unknown flag --shards");
 }
 
 #[test]
-fn shards_without_event_stepper_exits_2_with_usage() {
-    assert_usage_exit(
-        &["--stepper", "skip", "--shards", "4"],
-        "--shards 4 requires --stepper event",
-    );
-    // Order of flags must not matter.
-    assert_usage_exit(
-        &["--shards", "2", "--stepper", "strict"],
-        "--shards 2 requires --stepper event",
-    );
-}
-
-#[test]
-fn stepper_and_shard_choices_never_change_results() {
+fn stepper_choice_never_changes_results() {
     let reference = run(&["--scale", "0.02", "-q"]);
     assert_eq!(reference.status.code(), Some(0));
     let reference = String::from_utf8_lossy(&reference.stdout).into_owned();
-    for args in [
-        &["--scale", "0.02", "-q", "--stepper", "strict"][..],
-        &["--scale", "0.02", "-q", "--stepper", "skip"][..],
-        &["--scale", "0.02", "-q", "--stepper", "event"][..],
-        &[
-            "--scale",
-            "0.02",
-            "-q",
-            "--stepper",
-            "event",
-            "--shards",
-            "2",
-        ][..],
-        &[
-            "--scale",
-            "0.02",
-            "-q",
-            "--stepper",
-            "event",
-            "--shards",
-            "4",
-        ][..],
-    ] {
-        let out = run(args);
+    for stepper in ["strict", "skip", "event"] {
+        let args = ["--scale", "0.02", "-q", "--stepper", stepper];
+        let out = run(&args);
         assert_eq!(out.status.code(), Some(0), "args {args:?}");
         assert_eq!(
             String::from_utf8_lossy(&out.stdout),
             reference,
-            "args {args:?}: table2 output must be byte-identical across \
-             steppers and shard counts"
+            "args {args:?}: table2 output must be byte-identical across steppers"
         );
     }
 }
@@ -274,6 +240,22 @@ fn tune_shares_the_cli_contract() {
         String::from_utf8_lossy(&bad_mode.stderr).contains("unknown --mode sideways"),
         "stderr: {}",
         String::from_utf8_lossy(&bad_mode.stderr)
+    );
+
+    // A processor count the simulator cannot hold is a usage error, not
+    // a panic inside the run.
+    let bad_procs = Command::new(env!("CARGO_BIN_EXE_tune"))
+        .env_remove("MEMPAR_LOG")
+        .args([
+            "--apps", "Em3d", "--mode", "mp", "--procs", "65", "--scale", "0.01",
+        ])
+        .output()
+        .expect("spawn tune");
+    assert_eq!(bad_procs.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&bad_procs.stderr).contains("--procs expects an integer in 0..=64"),
+        "stderr: {}",
+        String::from_utf8_lossy(&bad_procs.stderr)
     );
 }
 

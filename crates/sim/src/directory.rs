@@ -19,18 +19,6 @@ struct DirEntry {
     owner: Option<u8>,
 }
 
-/// The directory's response to a write request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteGrant {
-    /// Where the data comes from (irrelevant for upgrades, where the
-    /// requester already holds the line shared).
-    pub source: DataSource,
-    /// Processors whose copies must be invalidated.
-    pub invalidees: Vec<usize>,
-    /// True when the requester already held the line shared (upgrade).
-    pub upgrade: bool,
-}
-
 /// Full-map directory.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
@@ -41,37 +29,6 @@ impl Directory {
     /// An empty directory (all lines uncached).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Handles a read miss by `proc` on `line`; updates state and reports
-    /// the data source. A modified owner is downgraded to sharer.
-    pub fn read_req(&mut self, line: u64, proc: usize) -> DataSource {
-        let e = self.entries.entry(line);
-        let src = match e.owner {
-            Some(o) if o as usize != proc => DataSource::CacheToCache { owner: o as usize },
-            _ => DataSource::Memory,
-        };
-        if let Some(o) = e.owner.take() {
-            e.sharers |= 1 << o;
-        }
-        e.sharers |= 1 << proc;
-        src
-    }
-
-    /// Handles a write miss or upgrade by `proc` on `line`; updates state,
-    /// reporting the data source and the sharers to invalidate.
-    pub fn write_req(&mut self, line: u64, proc: usize) -> WriteGrant {
-        let upgrade = self
-            .entries
-            .get(line)
-            .is_some_and(|e| e.sharers & (1 << proc) != 0 && e.owner.is_none());
-        let mut txn = CohTxn::default();
-        CoherenceProtocol::write_miss(self, line, proc, &mut txn);
-        WriteGrant {
-            source: txn.source,
-            invalidees: txn.invalidees,
-            upgrade,
-        }
     }
 
     /// Records that `proc` evicted its copy of `line`.
@@ -117,8 +74,7 @@ impl Directory {
     }
 }
 
-/// The MSI directory viewed through the pluggable-protocol interface.
-/// Semantics are exactly the inherent methods': every cache-to-cache
+/// The MSI directory's protocol state machine: every cache-to-cache
 /// read supply also writes memory back (downgrading the owner to
 /// sharer), fills install `Shared`/`Modified` only, and `Exclusive` is
 /// never used, so a write to a present line always takes a transaction
@@ -129,11 +85,19 @@ impl CoherenceProtocol for Directory {
     }
 
     fn read_miss(&mut self, line: u64, proc: usize, txn: &mut CohTxn) {
-        let source = Directory::read_req(self, line, proc);
-        txn.source = source;
+        let e = self.entries.entry(line);
+        txn.source = match e.owner {
+            Some(o) if o as usize != proc => DataSource::CacheToCache { owner: o as usize },
+            _ => DataSource::Memory,
+        };
+        // A modified owner is downgraded to sharer.
+        if let Some(o) = e.owner.take() {
+            e.sharers |= 1 << o;
+        }
+        e.sharers |= 1 << proc;
         // The paper's directory keeps memory current: a dirty owner
         // supplying a read writes home back in the same transaction.
-        txn.memory_update = matches!(source, DataSource::CacheToCache { .. });
+        txn.memory_update = matches!(txn.source, DataSource::CacheToCache { .. });
         txn.install = LineState::Shared;
     }
 
@@ -188,36 +152,49 @@ impl CoherenceProtocol for Directory {
         self.entries.capacity()
     }
 
-    // `export_metrics` uses the trait default: canonical `sim.coh.lines`
-    // / `sim.coh.sharers` gauges. The legacy `sim.dir.*` names are
-    // aliased once, centrally, in `MemSystem::export_metrics`.
+    // `export_metrics` uses the trait default: `sim.coh.lines` /
+    // `sim.coh.sharers` gauges.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn read(d: &mut Directory, line: u64, proc: usize) -> CohTxn {
+        let mut txn = CohTxn::default();
+        d.read_miss(line, proc, &mut txn);
+        txn
+    }
+
+    fn write(d: &mut Directory, line: u64, proc: usize) -> CohTxn {
+        let mut txn = CohTxn::default();
+        d.write_miss(line, proc, &mut txn);
+        txn
+    }
+
     #[test]
     fn cold_read_comes_from_memory() {
         let mut d = Directory::new();
-        assert_eq!(d.read_req(10, 0), DataSource::Memory);
+        assert_eq!(read(&mut d, 10, 0).source, DataSource::Memory);
         assert_eq!(d.sharer_count(10), 1);
     }
 
     #[test]
     fn second_reader_shares() {
         let mut d = Directory::new();
-        d.read_req(10, 0);
-        assert_eq!(d.read_req(10, 1), DataSource::Memory);
+        read(&mut d, 10, 0);
+        assert_eq!(read(&mut d, 10, 1).source, DataSource::Memory);
         assert_eq!(d.sharer_count(10), 2);
     }
 
     #[test]
     fn read_of_modified_line_is_c2c_and_downgrades() {
         let mut d = Directory::new();
-        d.write_req(10, 2);
+        write(&mut d, 10, 2);
         assert_eq!(d.owner(10), Some(2));
-        assert_eq!(d.read_req(10, 0), DataSource::CacheToCache { owner: 2 });
+        let r = read(&mut d, 10, 0);
+        assert_eq!(r.source, DataSource::CacheToCache { owner: 2 });
+        assert!(r.memory_update);
         assert_eq!(d.owner(10), None);
         assert_eq!(d.sharer_count(10), 2);
     }
@@ -225,15 +202,15 @@ mod tests {
     #[test]
     fn write_invalidates_sharers() {
         let mut d = Directory::new();
-        d.read_req(10, 0);
-        d.read_req(10, 1);
-        d.read_req(10, 2);
-        let g = d.write_req(10, 0);
-        assert!(g.upgrade);
-        assert_eq!(g.source, DataSource::Memory);
-        let mut inv = g.invalidees.clone();
-        inv.sort_unstable();
-        assert_eq!(inv, vec![1, 2]);
+        read(&mut d, 10, 0);
+        read(&mut d, 10, 1);
+        read(&mut d, 10, 2);
+        // An upgrade: the writer already holds the line shared.
+        assert_eq!(d.owner(10), None);
+        assert_eq!(d.sharer_count(10), 3);
+        let w = write(&mut d, 10, 0);
+        assert_eq!(w.source, DataSource::Memory);
+        assert_eq!(w.invalidees, vec![1, 2]);
         assert_eq!(d.owner(10), Some(0));
         assert_eq!(d.sharer_count(10), 1);
     }
@@ -241,30 +218,31 @@ mod tests {
     #[test]
     fn write_of_remote_modified_is_c2c() {
         let mut d = Directory::new();
-        d.write_req(10, 3);
-        let g = d.write_req(10, 1);
-        assert!(!g.upgrade);
-        assert_eq!(g.source, DataSource::CacheToCache { owner: 3 });
-        assert_eq!(g.invalidees, vec![3]);
+        write(&mut d, 10, 3);
+        // Not an upgrade: the writer holds no copy.
+        assert_eq!(d.owner(10), Some(3));
+        let w = write(&mut d, 10, 1);
+        assert_eq!(w.source, DataSource::CacheToCache { owner: 3 });
+        assert_eq!(w.invalidees, vec![3]);
         assert_eq!(d.owner(10), Some(1));
     }
 
     #[test]
     fn rewrite_by_owner_is_silent() {
         let mut d = Directory::new();
-        d.write_req(10, 1);
-        let g = d.write_req(10, 1);
-        assert!(g.invalidees.is_empty());
-        assert_eq!(g.source, DataSource::Memory);
+        write(&mut d, 10, 1);
+        let w = write(&mut d, 10, 1);
+        assert!(w.invalidees.is_empty());
+        assert_eq!(w.source, DataSource::Memory);
     }
 
     #[test]
     fn eviction_clears_state() {
         let mut d = Directory::new();
-        d.read_req(10, 0);
+        read(&mut d, 10, 0);
         d.evict(10, 0);
         assert_eq!(d.sharer_count(10), 0);
-        d.write_req(11, 5);
+        write(&mut d, 11, 5);
         d.evict(11, 5);
         assert_eq!(d.owner(11), None);
     }

@@ -68,7 +68,7 @@ pub use config::{
     BusParams, CacheParams, FuParams, Interleave, MachineConfig, MemParams, NetParams, ProcParams,
     Topology,
 };
-pub use directory::{Directory, WriteGrant};
+pub use directory::Directory;
 pub use interconnect::{bank_of, Bus, MemoryBanks, Mesh};
 pub use memsys::{Access, MemSystem};
 pub use protocol::{

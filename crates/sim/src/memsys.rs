@@ -944,11 +944,6 @@ impl MemSystem {
         reg.counter("sim.coh.upgrades", t.upgrades);
         reg.counter("sim.coh.updates", t.updates);
         self.proto.export_metrics(reg);
-        // `sim.coh.*` is canonical; the pre-protocol-trait `sim.dir.*`
-        // names survive only as aliases (deprecated — DESIGN.md §8b).
-        for name in ["invalidations", "lines", "sharers"] {
-            reg.alias(&format!("sim.coh.{name}"), &format!("sim.dir.{name}"));
-        }
 
         let lat = self.total_read_latency();
         reg.gauge("sim.cache.l2.read_latency.mean", lat.mean());

@@ -31,9 +31,7 @@ pub enum Stepper {
     /// time and is only stepped in rounds where it is scheduled, so
     /// event-dense multiprocessor runs stop paying per-cycle costs for
     /// stalled or sync-blocked processors. Generalizes [`Stepper::Skip`]
-    /// (whose horizon is the minimum of the same per-core times) and is
-    /// the only stepper that can shard cores across worker threads (see
-    /// [`SimOptions::shards`]).
+    /// (whose horizon is the minimum of the same per-core times).
     Event,
 }
 
@@ -73,13 +71,6 @@ pub struct SimOptions {
     /// feature flips the default to [`Stepper::Strict`], giving a
     /// reference build that steps every core every cycle.
     pub stepper: Stepper,
-    /// Worker threads the event stepper shards cores across (`0` or `1`
-    /// = run single-threaded). Sharding is deterministic: cycles,
-    /// traces, and metrics are bit-identical at every shard count,
-    /// because shared-state phases run on one thread in fixed core order
-    /// and the parallel window computes only per-core wake times.
-    /// Ignored by the strict and skip steppers.
-    pub shards: usize,
     /// Which functional engine feeds each core's fetch stage: the
     /// tree-walking interpreter or the bytecode register VM. Both yield
     /// bit-identical op streams (the difftest and golden-trace gates
@@ -101,7 +92,6 @@ impl Default for SimOptions {
             } else {
                 Stepper::Event
             },
-            shards: 1,
             engine: Engine::default(),
             protocol: Protocol::Directory,
         }
@@ -428,7 +418,7 @@ fn run_inner(
     match opts.stepper {
         Stepper::Strict => cycle_loop(&mut st, false),
         Stepper::Skip => cycle_loop(&mut st, true),
-        Stepper::Event => crate::sched::event_loop(&mut st, opts.shards),
+        Stepper::Event => crate::sched::event_loop(&mut st),
     }
     let DriverState {
         mut memsys,

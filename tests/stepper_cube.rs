@@ -4,10 +4,9 @@
 //! sweep pins it on the difftest generator's output — every committed
 //! corpus reproducer seed, every pinned golden seed, and a block of
 //! fresh seeds. For each generated program the simulator runs under
-//! strict, skip, and event stepping (and, for multiprocessor specs,
-//! event stepping sharded across 2 and 4 worker threads), and every
-//! [`SimResult`] field plus the final memory-image fingerprint must be
-//! bit-identical to the strict reference. The comparison goes through
+//! strict, skip, and event stepping, and every [`SimResult`] field plus
+//! the final memory-image fingerprint must be bit-identical to the strict
+//! reference. The comparison goes through
 //! `Debug` formatting, which prints floats with shortest-roundtrip
 //! precision, so any bit-level divergence shows up.
 
@@ -71,34 +70,15 @@ fn check_seed(seed: u64) -> Option<String> {
             ..SimOptions::default()
         },
     );
-    let mut legs = vec![("strict", strict)];
-    legs.push((
-        "skip",
-        run_leg(
-            seed,
-            nprocs,
-            SimOptions {
-                stepper: Stepper::Skip,
-                ..SimOptions::default()
-            },
-        ),
-    ));
-    if nprocs > 1 {
-        for (name, shards) in [("event-sh2", 2), ("event-sh4", 4)] {
-            legs.push((
-                name,
-                run_leg(
-                    seed,
-                    nprocs,
-                    SimOptions {
-                        stepper: Stepper::Event,
-                        shards,
-                        ..SimOptions::default()
-                    },
-                ),
-            ));
-        }
-    }
+    let skip = run_leg(
+        seed,
+        nprocs,
+        SimOptions {
+            stepper: Stepper::Skip,
+            ..SimOptions::default()
+        },
+    );
+    let legs = [("strict", strict), ("skip", skip)];
     for (name, (result, fp)) in &legs {
         if result != &reference.0 {
             return Some(format!(
